@@ -24,12 +24,7 @@ use kucode::prelude::*;
 
 /// FNV-1a accumulator for the whole-run `TRACE_HASH`.
 fn mix(agg: u64, word: u64) -> u64 {
-    let mut h = agg;
-    for b in word.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    kucode::ksim::fnv1a_continue(agg, &word.to_le_bytes())
 }
 
 fn mode_label(mode: JournalMode) -> &'static str {
@@ -179,7 +174,7 @@ pub fn run(report: &mut Report) {
         "A13",
         "Power-cut crash sweep: journal replay at every write point",
     );
-    let mut agg: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut agg = kucode::ksim::FNV_OFFSET;
     let points = crash_sweep(report, &mut agg);
     durability_cost(report);
     serve_from_kjfs(report);

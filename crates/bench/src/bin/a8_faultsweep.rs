@@ -182,12 +182,7 @@ fn drive_site(rig: &Rig, site: &'static str, attempts: u64) {
 
 /// FNV-1a accumulator for the whole-sweep `TRACE_HASH`.
 fn mix(agg: u64, word: u64) -> u64 {
-    let mut h = agg;
-    for b in word.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    kucode::ksim::fnv1a_continue(agg, &word.to_le_bytes())
 }
 
 fn sweep(report: &mut Report, quick: bool, agg: &mut u64) {
@@ -433,7 +428,7 @@ pub fn run(report: &mut Report) {
         "Deterministic fault sweep: coverage, rollback, fallback",
     );
     let quick = std::env::args().any(|a| a == "--quick");
-    let mut agg: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut agg = kucode::ksim::FNV_OFFSET;
     sweep(report, quick, &mut agg);
     rollback(report, &mut agg);
     fallback(report, &mut agg);

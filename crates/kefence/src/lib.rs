@@ -37,7 +37,7 @@ use parking_lot::{Mutex, RwLock};
 use kalloc::{KernelAllocator, VaAllocator};
 use kevents::{EventDispatcher, EventRecord, EventType};
 use ksim::{
-    AccessKind, Fault, FaultHandler, FaultResolution, Machine, MemSys, Pte, PteFlags,
+    AccessKind, AsId, Fault, FaultHandler, FaultResolution, Machine, MemSys, Pte, PteFlags,
     SimError, SimResult, PAGE_SIZE,
 };
 
@@ -122,7 +122,11 @@ struct KefenceStats {
 }
 
 struct State {
-    machine: Arc<Machine>,
+    /// The kernel address space the handler guards. An id, not the
+    /// machine: the machine owns this handler, so an `Arc<Machine>` here
+    /// would be a reference cycle that leaks every machine Kefence is
+    /// registered with.
+    kernel_asid: AsId,
     mode: RwLock<OnViolation>,
     /// Allocation records keyed by range base (BTreeMap: range lookup by
     /// faulting address).
@@ -166,7 +170,7 @@ struct KefenceFaultHandler {
 
 impl FaultHandler for KefenceFaultHandler {
     fn handle(&self, mem: &MemSys, fault: &Fault) -> FaultResolution {
-        if fault.asid != self.state.machine.kernel_asid() {
+        if fault.asid != self.state.kernel_asid {
             return FaultResolution::NotMine;
         }
         let Some(alloc) = self.state.find(fault.vaddr) else {
@@ -256,7 +260,7 @@ impl Kefence {
     /// Create a Kefence allocator and register its fault handler.
     pub fn new(machine: Arc<Machine>, mode: OnViolation, protect: Protect) -> Arc<Self> {
         let state = Arc::new(State {
-            machine: machine.clone(),
+            kernel_asid: machine.kernel_asid(),
             mode: RwLock::new(mode),
             allocs: Mutex::new(BTreeMap::new()),
             violations: Mutex::new(Vec::new()),
@@ -373,9 +377,14 @@ impl Kefence {
     pub fn kefence_free(&self, addr: u64) -> SimResult<()> {
         let m = &self.machine;
         let mut allocs = self.state.allocs.lock();
+        // Records are keyed by range base and `addr` lies inside its own
+        // range, so the record at or below it is the only candidate —
+        // O(log n), like `vfree`'s lookup.
         let rec = allocs
-            .values_mut()
-            .find(|a| a.addr == addr && !a.freed)
+            .range_mut(..=addr)
+            .next_back()
+            .map(|(_, a)| a)
+            .filter(|a| a.addr == addr && !a.freed)
             .ok_or(SimError::Invalid("kefence free of unknown address"))?;
         rec.freed = true;
         let (range_base, npages, guard) = (rec.range_base, rec.npages, rec.guard);
@@ -570,6 +579,37 @@ mod tests {
         assert_eq!((allocs, frees), (50, 50));
         assert_eq!(bytes, 4000);
         assert_eq!(k.max_outstanding_pages(), 50, "high water persists");
+    }
+
+    #[test]
+    fn frees_in_any_order_find_their_record() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        for protect in [Protect::Overflow, Protect::Underflow] {
+            let (m, k) = setup(OnViolation::Crash, protect);
+            // Mostly one-page records, every tenth spanning two pages.
+            let size = |i: usize| if i.is_multiple_of(10) { PAGE_SIZE + 1 } else { 80 };
+            let mut addrs: Vec<u64> =
+                (0..10_000).map(|i| k.kefence_alloc(size(i)).unwrap()).collect();
+            let mut rng = SmallRng::seed_from_u64(0x6b65_6665);
+            for i in (1..addrs.len()).rev() {
+                addrs.swap(i, rng.gen_range(0..=i));
+            }
+            let unknown = SimError::Invalid("kefence free of unknown address");
+            // Inside a live allocation but not its address.
+            assert_eq!(k.kefence_free(addrs[0] + 1), Err(unknown.clone()));
+            // Below the arena and far past the last allocation.
+            assert_eq!(k.kefence_free(KEFENCE_BASE - 1), Err(unknown.clone()));
+            assert_eq!(k.kefence_free(KEFENCE_END - 1), Err(unknown.clone()));
+            for &a in &addrs {
+                k.kefence_free(a).unwrap();
+            }
+            assert_eq!(k.kefence_free(addrs[1234]), Err(unknown), "double free");
+            assert_eq!(k.counters().1, 10_000);
+            assert_eq!(k.state.stats.outstanding_pages.load(Relaxed), 0);
+            assert!(read(&m, addrs[77], 1).is_err(), "freed range still faults");
+        }
     }
 
     #[test]

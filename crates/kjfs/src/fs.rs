@@ -56,12 +56,12 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use kvfs::{BlockAddr, BlockDev, DirEntry, FileKind, FileSystem, Ino, Stat, VfsError, VfsResult};
-use ksim::{FxHashMap, FxHashSet, Machine, PAGE_SIZE};
+use ksim::{fnv1a, FxHashMap, FxHashSet, Machine, PAGE_SIZE};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::journal::{self, Tag, TAGS_PER_DESC};
 use crate::layout::{
-    dir_from_bytes, dir_to_bytes, fnv, Extent, Header, InodeRec, Superblock, BITMAP_OBJ,
+    dir_from_bytes, dir_to_bytes, Extent, Header, InodeRec, Superblock, BITMAP_OBJ,
     BITS_PER_BITMAP_BLOCK, DATA_OBJ, INODES_PER_BLOCK, ITABLE_OBJ, JOURNAL_OBJ, MAX_EXTENTS,
     ROOT_INO, SUPER_OBJ,
 };
@@ -684,24 +684,40 @@ impl Kjfs {
     }
 
     /// Drop every cached page of `ino` at or past `from` (truncate/unlink
-    /// invalidation).
+    /// invalidation). Pages exist only for mapped blocks, so visiting the
+    /// inode's mapped range finds them all without scanning the cache —
+    /// callers invalidate *before* shrinking the mapping.
     fn invalidate_pages(&self, g: &mut Inner, ino: u64, from: u64) {
-        let doomed: Vec<(u64, u64)> = g
-            .pages
-            .keys()
-            .filter(|(i, lb)| *i == ino && *lb >= from)
-            .copied()
-            .collect();
-        for key in doomed {
-            if let Some(p) = g.pages.remove(&key) {
+        let to = g.inodes.get(&ino).map_or(0, Inode::mapped_blocks);
+        for lb in from..to {
+            if let Some(p) = g.pages.remove(&(ino, lb)) {
                 if p.dirty {
                     g.dirty_count -= 1;
                 }
             }
         }
+        debug_assert!(
+            !g.pages.keys().any(|&(i, lb)| i == ino && lb >= from),
+            "inode {ino} has cached pages past its mapping"
+        );
         if from == 0 {
             g.last_read.remove(&ino);
         }
+    }
+
+    /// Whether `ino` has a dirty page, found through `dirty_order` (which
+    /// lists every dirty page, plus stale entries) instead of the cache.
+    fn has_dirty_pages(g: &Inner, ino: u64) -> bool {
+        let found = g
+            .dirty_order
+            .iter()
+            .any(|&(i, lb)| i == ino && g.pages.get(&(i, lb)).is_some_and(|p| p.dirty));
+        debug_assert_eq!(
+            found,
+            g.pages.iter().any(|(&(i, _), p)| i == ino && p.dirty),
+            "dirty_order misses a dirty page of inode {ino}"
+        );
+        found
     }
 
     /// Ordered writeback: flush dirty *new-allocation* pages in place.
@@ -856,13 +872,27 @@ impl Kjfs {
         self.writeback_new_pages(g)?;
 
         // (c) Overwrite data images: journaled, checkpointed after commit.
+        // Every dirty page is on `dirty_order` (with stale and repeated
+        // entries), so its dirty, deduplicated subset is the cache's dirty
+        // set — O(dirty), not O(cache).
         let mut overwrite_pages: Vec<(u64, u64)> = g
-            .pages
+            .dirty_order
             .iter()
-            .filter(|(_, p)| p.dirty)
-            .map(|(&k, _)| k)
+            .copied()
+            .filter(|k| g.pages.get(k).is_some_and(|p| p.dirty))
             .collect();
         overwrite_pages.sort_unstable();
+        overwrite_pages.dedup();
+        debug_assert_eq!(
+            overwrite_pages,
+            {
+                let mut all: Vec<(u64, u64)> =
+                    g.pages.iter().filter(|(_, p)| p.dirty).map(|(&k, _)| k).collect();
+                all.sort_unstable();
+                all
+            },
+            "dirty_order misses a dirty page"
+        );
         let mut images: Vec<(BlockAddr, Vec<u8>)> = Vec::new();
         for &(ino, lblock) in &overwrite_pages {
             let phys = Self::phys_of(g, ino, lblock).expect("dirty page is mapped");
@@ -873,7 +903,7 @@ impl Kjfs {
         images.extend(dir_images);
         let mut itable: Vec<u64> = g.dirty_itable.iter().copied().collect();
         itable.sort_unstable();
-        for blk in itable {
+        for &blk in &itable {
             let mut img = vec![0u8; PAGE_SIZE];
             for slot in 0..INODES_PER_BLOCK {
                 let ino = blk * INODES_PER_BLOCK + slot;
@@ -937,10 +967,22 @@ impl Kjfs {
         }
         g.dirty_count = 0;
         g.dirty_order.clear();
-        for i in g.inodes.values_mut() {
-            i.committed_blocks = i.mapped_blocks();
-            i.committed_size = i.size;
+        // Every mapping or size change dirties the inode's table block, so
+        // only inodes in dirty blocks can have moved since the last commit.
+        for &blk in &itable {
+            for ino in blk * INODES_PER_BLOCK..(blk + 1) * INODES_PER_BLOCK {
+                if let Some(i) = g.inodes.get_mut(&ino) {
+                    i.committed_blocks = i.mapped_blocks();
+                    i.committed_size = i.size;
+                }
+            }
         }
+        debug_assert!(
+            g.inodes
+                .values()
+                .all(|i| i.committed_blocks == i.mapped_blocks() && i.committed_size == i.size),
+            "an inode changed without dirtying its table block"
+        );
         g.header_dirty = false;
         g.dirty_itable.clear();
         g.dirty_bitmap.clear();
@@ -950,32 +992,38 @@ impl Kjfs {
         g.next_seq = seq0 + span;
         g.stats.commits += 1;
 
-        // (g) Journal record: descriptors + images + commit block.
+        // (g) Journal record: descriptors + images + commit block. The
+        // record's body borrows the images instead of copying them.
         let slots = self.cfg.journal_slots;
-        let mut jblocks: Vec<(u64, Vec<u8>)> = Vec::with_capacity(span as usize);
+        let checksums: Vec<u64> = images.iter().map(|(_, img)| fnv1a(img)).collect();
+        let descs: Vec<Vec<u8>> = images
+            .chunks(TAGS_PER_DESC)
+            .zip(checksums.chunks(TAGS_PER_DESC))
+            .enumerate()
+            .map(|(k, (chunk, cks))| {
+                let tags: Vec<Tag> = chunk
+                    .iter()
+                    .zip(cks)
+                    .map(|((a, _), &checksum)| Tag { obj: a.obj, index: a.index, checksum })
+                    .collect();
+                journal::desc_block(txid, seq0 + (k * (TAGS_PER_DESC + 1)) as u64, &tags)
+            })
+            .collect();
+        let mut body: Vec<(u64, &[u8])> = Vec::with_capacity(span as usize - 1);
         let mut seq = seq0;
-        let mut checksums = Vec::with_capacity(images.len());
-        for chunk in images.chunks(TAGS_PER_DESC) {
-            let tags: Vec<Tag> = chunk
-                .iter()
-                .map(|(a, img)| Tag { obj: a.obj, index: a.index, checksum: fnv(img) })
-                .collect();
-            jblocks.push((seq % slots, journal::desc_block(txid, seq, &tags)));
+        for (desc, chunk) in descs.iter().zip(images.chunks(TAGS_PER_DESC)) {
+            body.push((seq % slots, desc));
             seq += 1;
             for (_, img) in chunk {
-                jblocks.push((seq % slots, img.clone()));
+                body.push((seq % slots, img));
                 seq += 1;
             }
-            checksums.extend(tags.iter().map(|t| t.checksum));
         }
         let commit =
             journal::commit_block(txid, seq, images.len() as u32, journal::txn_checksum(&checksums));
         let commit_slot = seq % slots;
-        jblocks.push((commit_slot, commit));
-        seq += 1;
-        debug_assert_eq!(seq, seq0 + span);
+        debug_assert_eq!(seq + 1, seq0 + span);
 
-        let (commit_entry, body) = jblocks.split_last().expect("commit block present");
         let write_all = || -> VfsResult<()> {
             // The log is sequential: descriptor + image blocks occupy
             // consecutive slots, so they coalesce into runs — one
@@ -1008,7 +1056,7 @@ impl Kjfs {
             if self.machine.faults.should_fail(kfault::sites::KJFS_JOURNAL_COMMIT) {
                 return Err(VfsError::Io);
             }
-            self.dev.write_block_bytes(journal_addr(commit_entry.0), &commit_entry.1)
+            self.dev.write_block_bytes(journal_addr(commit_slot), &commit)
         };
         let res = if self.cfg.journal_mode == JournalMode::GroupCommit {
             // Drop the lock for the journal I/O so concurrent ops make
@@ -1026,7 +1074,7 @@ impl Kjfs {
             self.commit_cv.notify_all();
             return Err(e);
         }
-        g.stats.journal_blocks += jblocks.len() as u64;
+        g.stats.journal_blocks += span;
 
         // The transaction is durable; queue it for a background drain.
         g.live_txns.push_back(LiveTxn { txid, start_seq: seq0, commit_slot, images });
@@ -1726,10 +1774,10 @@ impl FileSystem for Kjfs {
         }
         if size < old {
             let keep = size.div_ceil(PAGE_SIZE as u64);
+            self.invalidate_pages(&mut g, ino.0, keep);
             if g.inodes[&ino.0].mapped_blocks() > keep {
                 self.shrink_mapping(&mut g, ino.0, keep);
             }
-            self.invalidate_pages(&mut g, ino.0, keep);
             // Zero the cut tail of the last kept block so a later
             // re-extension reads zeros, not stale bytes.
             if !size.is_multiple_of(PAGE_SIZE as u64)
@@ -1802,8 +1850,7 @@ impl FileSystem for Kjfs {
         if data_only {
             // fdatasync: skip the commit when the inode has no dirty pages
             // and no size change — pure-metadata dirt (mtime) can wait.
-            let essential = i.size != i.committed_size
-                || g.pages.iter().any(|((pi, _), p)| *pi == ino.0 && p.dirty);
+            let essential = i.size != i.committed_size || Self::has_dirty_pages(&g, ino.0);
             if !essential {
                 return Ok(());
             }
@@ -1960,6 +2007,51 @@ mod tests {
         assert!(fs.fsck().is_empty(), "{:?}", fs.fsck());
         let f2 = fs.create(fs.root(), "reborn").unwrap();
         assert_eq!(f2, f, "freed inode number is recycled");
+    }
+
+    #[test]
+    fn unlink_drops_every_cached_page_of_a_multi_extent_file() {
+        let (_m, _dev, fs) = rig();
+        let a = fs.create(fs.root(), "a").unwrap();
+        let b = fs.create(fs.root(), "b").unwrap();
+        // Alternating two-block appends interleave the physical runs, so
+        // `a` ends up with one extent per round.
+        for round in 0..4u64 {
+            for f in [a, b] {
+                let off = round * 2 * PAGE_SIZE as u64;
+                fs.write(f, off, &[round as u8 + 1; 2 * PAGE_SIZE]).unwrap();
+            }
+        }
+        fs.sync().unwrap();
+        assert_eq!(fs.inner.lock().inodes[&a.0].extents.len(), 4);
+        // Clean cached pages plus a dirty overwrite.
+        fs.read(a, 0, &mut vec![0u8; 8 * PAGE_SIZE]).unwrap();
+        fs.write(a, 3 * PAGE_SIZE as u64, b"dirty").unwrap();
+        let cached = |g: &Inner, ino: u64| g.pages.keys().filter(|&&(i, _)| i == ino).count();
+        assert_eq!(cached(&fs.inner.lock(), a.0), 8);
+        fs.unlink(fs.root(), "a").unwrap();
+        let g = fs.inner.lock();
+        assert_eq!(cached(&g, a.0), 0, "unlinked file left pages cached");
+        assert_eq!(cached(&g, b.0), 8, "the neighbour's pages stay");
+        assert_eq!(g.dirty_count, g.pages.values().filter(|p| p.dirty).count());
+    }
+
+    #[test]
+    fn fdatasync_skips_the_commit_when_only_metadata_is_dirty() {
+        let (_m, _dev, fs) = rig();
+        let f = fs.create(fs.root(), "f").unwrap();
+        fs.write(f, 0, &[3u8; 5000]).unwrap();
+        fs.fsync(f, false).unwrap();
+        // Other dirt: a dirty page of another file and a rename of `f`.
+        let g = fs.create(fs.root(), "g").unwrap();
+        fs.write(g, 0, b"other").unwrap();
+        fs.rename(fs.root(), "f", fs.root(), "f2").unwrap();
+        let commits = fs.stats().commits;
+        fs.fsync(f, true).unwrap();
+        assert_eq!(fs.stats().commits, commits, "fdatasync committed metadata-only dirt");
+        fs.write(f, 0, b"data").unwrap();
+        fs.fsync(f, true).unwrap();
+        assert_eq!(fs.stats().commits, commits + 1, "dirty data must commit");
     }
 
     #[test]

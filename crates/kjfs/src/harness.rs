@@ -27,10 +27,9 @@ use kfault::Policy;
 use kvfs::{
     BlockDev, FileKind, FileSystem, Ino, SnapshotEntry, VfsResult, VfsSnapshot, Vfs,
 };
-use ksim::{Machine, MachineConfig};
+use ksim::{fnv1a_continue, Machine, MachineConfig, FNV_OFFSET};
 
 use crate::fs::{Kjfs, KjfsConfig};
-use crate::layout::fnv_continue;
 
 /// Fixed fault-plane seed: the sweep uses deterministic `FailNth` policies,
 /// so the seed only feeds the trace hash.
@@ -379,14 +378,14 @@ impl Harness {
     pub fn sweep(&self, torn: bool) -> SweepReport {
         let mut outcomes = Vec::with_capacity(self.write_points as usize);
         let mut violations = 0u64;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_OFFSET;
         for n in 1..=self.write_points {
             let out = self.run_one(n, torn);
             violations += out.violations.len() as u64;
-            h = fnv_continue(h, &out.kill_point.to_le_bytes());
-            h = fnv_continue(h, &(out.processed as u64).to_le_bytes());
-            h = fnv_continue(h, &(out.matched_prefix.map(|k| k as u64 + 1).unwrap_or(0)).to_le_bytes());
-            h = fnv_continue(h, &out.trace_hash.to_le_bytes());
+            h = fnv1a_continue(h, &out.kill_point.to_le_bytes());
+            h = fnv1a_continue(h, &(out.processed as u64).to_le_bytes());
+            h = fnv1a_continue(h, &(out.matched_prefix.map(|k| k as u64 + 1).unwrap_or(0)).to_le_bytes());
+            h = fnv1a_continue(h, &out.trace_hash.to_le_bytes());
             outcomes.push(out);
         }
         SweepReport { write_points: self.write_points, outcomes, violations, sweep_hash: h }

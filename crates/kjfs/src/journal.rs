@@ -28,9 +28,9 @@
 //! (user data is not escaped) are never even looked at.
 
 use kvfs::BlockAddr;
-use ksim::PAGE_SIZE;
+use ksim::{fnv1a, fnv1a_continue, FNV_OFFSET, PAGE_SIZE};
 
-use crate::layout::{fnv, fnv_continue, JOURNAL_MAGIC};
+use crate::layout::JOURNAL_MAGIC;
 
 /// Tags per descriptor block: `(4096 - 48) / 24` rounded down to a round
 /// number. A transaction needing more tags chains descriptors.
@@ -57,7 +57,7 @@ pub enum JBlock {
 
 /// Checksum over a control block, excluding the checksum field itself.
 fn block_checksum(b: &[u8]) -> u64 {
-    fnv_continue(fnv(&b[0..32]), &b[40..])
+    fnv1a_continue(fnv1a(&b[0..32]), &b[40..])
 }
 
 fn header(b: &mut [u8], kind: u8, count: u32, txid: u64, seq: u64) {
@@ -100,9 +100,9 @@ pub fn commit_block(txid: u64, seq: u64, nimages: u32, txn_checksum: u64) -> Vec
 /// Checksum sealing a whole transaction: FNV over the per-image checksums
 /// in journal order.
 pub fn txn_checksum(image_checksums: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     for ck in image_checksums {
-        h = fnv_continue(h, &ck.to_le_bytes());
+        h = fnv1a_continue(h, &ck.to_le_bytes());
     }
     h
 }
@@ -184,7 +184,7 @@ fn validate_chain(
                 seq += 1;
                 for tag in tags {
                     let img = read(seq % slots);
-                    if fnv(&img) != tag.checksum {
+                    if fnv1a(&img) != tag.checksum {
                         return None; // torn or overwritten image
                     }
                     images.push((BlockAddr { obj: tag.obj, index: tag.index }, img));
@@ -260,12 +260,12 @@ mod tests {
         for chunk in images.chunks(TAGS_PER_DESC) {
             let tags: Vec<Tag> = chunk
                 .iter()
-                .map(|(a, img)| Tag { obj: a.obj, index: a.index, checksum: fnv(img) })
+                .map(|(a, img)| Tag { obj: a.obj, index: a.index, checksum: fnv1a(img) })
                 .collect();
             slots.insert(seq % nslots, desc_block(txid, seq, &tags));
             seq += 1;
             for (_, img) in chunk {
-                cks.push(fnv(img));
+                cks.push(fnv1a(img));
                 slots.insert(seq % nslots, img.clone());
                 seq += 1;
             }
@@ -280,6 +280,34 @@ mod tests {
 
     fn reader(slots: HashMap<u64, Vec<u8>>) -> impl FnMut(u64) -> Vec<u8> {
         move |s| slots.get(&s).cloned().unwrap_or_else(|| vec![0u8; PAGE_SIZE])
+    }
+
+    /// The on-disk checksums of fixed inputs, pinned: a change to the hash
+    /// (or to what it covers) would silently orphan every existing journal.
+    #[test]
+    fn checksums_are_pinned() {
+        let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        let header = crate::layout::Header { next_ino: 33, next_txid: 10, next_seq: 104 };
+        let mut inode_block = vec![0u8; PAGE_SIZE];
+        inode_block[128..136].copy_from_slice(&[1, 1, 0, 0, 1, 0, 0, 0]);
+        inode_block[4000] = 0x5A;
+        let tags = [
+            Tag { obj: 2, index: 0, checksum: fnv1a(&inode_block) },
+            Tag { obj: 0, index: 1, checksum: fnv1a(&header.to_block()) },
+        ];
+        let desc = desc_block(9, 100, &tags);
+        let txn = txn_checksum(&tags.map(|t| t.checksum));
+        let commit = commit_block(9, 103, 2, txn);
+        assert_eq!(
+            [tags[0].checksum, tags[1].checksum, word(&desc, 32), txn, word(&commit, 32)],
+            [
+                0x5e7c_0a78_8b0f_8b74,
+                0x633a_bc3e_9e28_2fa6,
+                0x2f74_1de1_4b0e_b1e1,
+                0x354c_0b41_6749_d3ca,
+                0x8458_cbc2_7809_80f5,
+            ],
+        );
     }
 
     #[test]

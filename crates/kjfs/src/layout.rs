@@ -16,7 +16,7 @@
 //! so extent-sized reads and writes are charged at transfer cost, not seek
 //! cost.
 
-use ksim::PAGE_SIZE;
+use ksim::{fnv1a, PAGE_SIZE};
 
 /// Region objects (the `obj` half of a [`kvfs::BlockAddr`]).
 pub const SUPER_OBJ: u64 = 0;
@@ -43,22 +43,6 @@ pub const BITS_PER_BITMAP_BLOCK: u64 = (PAGE_SIZE * 8) as u64;
 
 /// The root directory's inode number. Ino 0 is reserved/invalid.
 pub const ROOT_INO: u64 = 1;
-
-/// FNV-1a, the same hash `VfsSnapshot` and the fault plane use — stable
-/// across processes, no host randomness.
-pub fn fnv(bytes: &[u8]) -> u64 {
-    fnv_continue(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// Continue an FNV-1a stream from a previous state (for multi-slice sums).
-pub fn fnv_continue(mut h: u64, bytes: &[u8]) -> u64 {
-    const FNV_PRIME: u64 = 0x100_0000_01b3;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// A contiguous physical run in the data area.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,7 +153,7 @@ impl Superblock {
         b[8..16].copy_from_slice(&self.data_blocks.to_le_bytes());
         b[16..24].copy_from_slice(&self.journal_slots.to_le_bytes());
         b[24..32].copy_from_slice(&self.inode_capacity.to_le_bytes());
-        let ck = fnv(&b[0..32]);
+        let ck = fnv1a(&b[0..32]);
         b[32..40].copy_from_slice(&ck.to_le_bytes());
         b
     }
@@ -178,7 +162,7 @@ impl Superblock {
         if b.len() < 40 || u64::from_le_bytes(b[0..8].try_into().unwrap()) != SUPER_MAGIC {
             return None;
         }
-        if u64::from_le_bytes(b[32..40].try_into().unwrap()) != fnv(&b[0..32]) {
+        if u64::from_le_bytes(b[32..40].try_into().unwrap()) != fnv1a(&b[0..32]) {
             return None;
         }
         Some(Superblock {

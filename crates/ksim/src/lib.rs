@@ -61,8 +61,8 @@ pub use clock::{BatchGuard, Clock, MirrorGuard};
 pub use cost::{CostModel, CYCLES_PER_SEC};
 pub use error::{SimError, SimResult};
 pub use hash::{
-    fnv1a, ByteCache, ByteCacheEntry, ByteCacheStats, FxBuildHasher, FxHashMap, FxHashSet,
-    FxHasher,
+    fnv1a, fnv1a_continue, ByteCache, ByteCacheEntry, ByteCacheStats, FxBuildHasher, FxHashMap,
+    FxHashSet, FxHasher, FNV_OFFSET,
 };
 pub use irq::{IrqController, IrqHandler, IRQ_OVERHEAD_CYCLES};
 pub use machine::{thread_cpu, CpuBinding, CpuState, KernelToken, Machine, MachineConfig};

@@ -70,15 +70,8 @@ impl VfsSnapshot {
     /// stable across processes (no host randomness), so two sweep runs can
     /// compare final states by a single number.
     pub fn hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = ksim::FNV_OFFSET;
+        let mut mix = |bytes: &[u8]| h = ksim::fnv1a_continue(h, bytes);
         for e in &self.entries {
             mix(e.path.as_bytes());
             mix(&[0xFF, if e.kind == FileKind::Dir { 1 } else { 0 }]);

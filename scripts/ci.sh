@@ -12,6 +12,9 @@ cargo build --release --workspace --offline
 echo "== tests =="
 cargo test --workspace --offline --quiet
 
+echo "== kbench self-tests =="
+cargo test --release --offline --manifest-path kbench/Cargo.toml
+
 echo "== clippy (warnings are errors) =="
 cargo clippy --all-targets --offline -- -D warnings
 
@@ -109,6 +112,13 @@ h1=$(echo "${c1}" | grep '^TRACE_HASH')
 h2=$(./target/release/a13_crashsweep | grep '^TRACE_HASH')
 if [ "$h1" != "$h2" ]; then
     echo "crash sweep is not deterministic: '$h1' vs '$h2'" >&2
+    exit 1
+fi
+# Pinned as well as reproducible: the sweep's hash covers every kill
+# point's recovered state and journal checksums, so a drift here means
+# the on-disk format or recovery changed.
+if [ "$h1" != "TRACE_HASH 7966bdee61f66b63" ]; then
+    echo "crash sweep hash drifted: '$h1' != 'TRACE_HASH 7966bdee61f66b63'" >&2
     exit 1
 fi
 echo "crash sweep deterministic: ${points} kill points, $h1"

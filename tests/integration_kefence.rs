@@ -112,3 +112,17 @@ fn kefence_memory_cost_is_page_granular() {
     assert!(avg < 4096.0, "avg alloc {avg:.0} B");
     assert!(kef.max_outstanding_pages() >= 30, "one page per live private data");
 }
+
+#[test]
+fn dropping_a_kefence_rig_frees_its_machine() {
+    let (rig, kef) = Rig::wrapfs_kefence(OnViolation::Crash, Protect::Overflow);
+    let p = rig.user(1 << 16);
+    let cfg =
+        CompileConfig { source_files: 4, header_count: 4, headers_per_file: 2, ..Default::default() };
+    run_compile(&rig, &p, &cfg);
+    let machine = std::sync::Arc::downgrade(&rig.machine);
+    drop(rig);
+    assert!(machine.upgrade().is_some(), "the Kefence handle still holds the machine");
+    drop(kef);
+    assert!(machine.upgrade().is_none(), "the machine outlived every handle: a reference cycle");
+}
