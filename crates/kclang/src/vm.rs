@@ -19,18 +19,36 @@
 //!   expression nodes charge once with a single overflow/tick boundary
 //!   test (falling back to the exact per-step path when a budget edge or
 //!   tick falls inside the batch);
-//! * call frames reuse flat stacks — no per-call `HashMap` scopes.
+//! * call frames reuse flat stacks — no per-call `HashMap` scopes;
+//! * every local lives in simulated memory, so a run is mostly scalar
+//!   loads and stores. In flat mode an access within one page reuses a
+//!   [`TlbPin`]: the VM keeps up to four pinned translations, and while
+//!   the pinned TLB slot is unchanged a hit costs one sequence compare
+//!   instead of a seqlock probe, and the scalar moves straight to or from
+//!   its frame word (`PhysMemory::read_scalar`/`write_scalar`). Hits,
+//!   misses, faults and their charges are exactly those of
+//!   `MemSys::translate` (see [`ksim::MemSys::hit_pinned`]); segmented and
+//!   page-crossing accesses keep the [`MemCtx`] path;
+//! * `Vm::new` and `Vm::run` each hold one `Clock::batch` for their whole
+//!   duration, so step, TLB and hook charges accumulate in thread-local
+//!   scratch and reach the shared clock atomics once per run. Same-thread
+//!   clock reads (tickers, hosts) stay exact, and the batches that
+//!   syscalls open inside a run nest as no-ops.
 
 use std::collections::HashMap;
 
-use ksim::Machine;
+use ksim::{AccessKind, Machine, Pfn, TlbPin, PAGE_SIZE};
 
 use crate::ast::{BinOp, SourceLoc, Sym};
 use crate::bytecode::{Access, FuncInfo, Module, Op, TrapKind};
 use crate::hooks::{MemHook, NoopHook};
-use crate::interp::{ExecConfig, ExecOutcome, InterpError, MemCtx, SyscallHost, TickFn};
+use crate::interp::{ExecConfig, ExecOutcome, InterpError, MemCtx, SegMode, SyscallHost, TickFn};
 
 const MAX_CALL_DEPTH: usize = 120;
+
+/// Pinned translations kept for scalar loads and stores: enough for the
+/// stack page plus the data, heap or sandbox pages a short run touches.
+const PIN_WAYS: usize = 4;
 
 #[derive(Debug, Clone, Copy)]
 struct Frame {
@@ -78,6 +96,9 @@ pub struct Vm<'a> {
     frames: Vec<Frame>,
     scope_stack: Vec<Scope>,
     decl_stack: Vec<u16>,
+    pins: [Option<TlbPin>; PIN_WAYS],
+    /// Round-robin victim for a pin miss.
+    pin_victim: usize,
 }
 
 impl<'a> Vm<'a> {
@@ -93,6 +114,7 @@ impl<'a> Vm<'a> {
         arena_len: usize,
     ) -> Result<Self, InterpError> {
         static NOOP: NoopHook = NoopHook;
+        let _batch = machine.clock.batch();
         let mut vm = Vm {
             machine,
             module,
@@ -114,6 +136,8 @@ impl<'a> Vm<'a> {
             frames: Vec::new(),
             scope_stack: Vec::new(),
             decl_stack: Vec::new(),
+            pins: [None; PIN_WAYS],
+            pin_victim: 0,
         };
         // Run the init chunk (global allocation + initialisers) under a
         // sentinel frame with no slots.
@@ -157,6 +181,7 @@ impl<'a> Vm<'a> {
 
     /// Run `func(args...)` to completion.
     pub fn run(&mut self, func: &str, args: &[i64]) -> Result<ExecOutcome, InterpError> {
+        let _batch = self.machine.clock.batch();
         let start = self.steps;
         match self.enter(func, args) {
             Ok(ret) => Ok(ExecOutcome { ret, steps: self.steps - start }),
@@ -290,6 +315,45 @@ impl<'a> Vm<'a> {
 
     // ---- scalar access ----------------------------------------------------
 
+    /// The frame behind a flat-mode access that stays within one page, or
+    /// `None` for accesses that must take the [`MemCtx`] path (segmented
+    /// mode, page-crossing). A still-valid pin is a TLB hit; otherwise
+    /// `translate_pinned` makes exactly the `translate` call `MemCtx`
+    /// would, and its pin replaces the stale pin of the same page or, for
+    /// a new page, the next round-robin victim.
+    #[inline]
+    fn pinned_frame(
+        &mut self,
+        addr: u64,
+        len: usize,
+        kind: AccessKind,
+    ) -> Result<Option<Pfn>, InterpError> {
+        if self.cfg.seg != SegMode::Flat || (addr as usize & (PAGE_SIZE - 1)) + len > PAGE_SIZE {
+            return Ok(None);
+        }
+        let mem = &self.machine.mem;
+        let asid = self.cfg.asid;
+        let covering = self
+            .pins
+            .iter()
+            .enumerate()
+            .find_map(|(i, p)| p.filter(|p| p.covers(asid, addr)).map(|p| (i, p)));
+        let way = match covering {
+            Some((i, pin)) => match mem.hit_pinned(&pin, kind) {
+                Some(pfn) => return Ok(Some(pfn)),
+                None => i,
+            },
+            None => {
+                let v = self.pin_victim;
+                self.pin_victim = (v + 1) % PIN_WAYS;
+                v
+            }
+        };
+        let pin = mem.translate_pinned(asid, addr, kind)?;
+        self.pins[way] = Some(pin);
+        Ok(Some(pin.pfn()))
+    }
+
     fn load(
         &mut self,
         addr: u64,
@@ -299,6 +363,11 @@ impl<'a> Vm<'a> {
     ) -> Result<i64, InterpError> {
         if checked {
             self.hook.on_access(site, addr, access.len as usize, false)?;
+        }
+        let len = if access.byte { 1 } else { 8 };
+        if let Some(pfn) = self.pinned_frame(addr, len, AccessKind::Read)? {
+            let off = addr as usize & (PAGE_SIZE - 1);
+            return Ok(self.machine.mem.phys.read_scalar(pfn, off, len) as i64);
         }
         let mem = self.mem();
         if access.byte {
@@ -322,6 +391,12 @@ impl<'a> Vm<'a> {
     ) -> Result<(), InterpError> {
         if checked {
             self.hook.on_access(site, addr, access.len as usize, true)?;
+        }
+        let len = if access.byte { 1 } else { 8 };
+        if let Some(pfn) = self.pinned_frame(addr, len, AccessKind::Write)? {
+            let off = addr as usize & (PAGE_SIZE - 1);
+            self.machine.mem.phys.write_scalar(pfn, off, len, v as u64);
+            return Ok(());
         }
         let mem = self.mem();
         if access.byte {
@@ -652,7 +727,7 @@ impl std::fmt::Debug for Vm<'_> {
 mod tests {
     use super::*;
     use crate::bytecode::compile;
-    use crate::interp::{Interp, SegMode};
+    use crate::interp::Interp;
     use crate::parser::parse_program;
     use crate::types::typecheck;
     use ksim::{MachineConfig, PteFlags, PAGE_SIZE};
@@ -662,6 +737,40 @@ mod tests {
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::small_free())
+    }
+
+    /// A small machine with the default cost model, so TLB hits, misses
+    /// and page faults show up in the sys cycles.
+    fn costed_machine() -> Machine {
+        Machine::new(MachineConfig { phys_frames: 4096, ..MachineConfig::default() })
+    }
+
+    /// (TLB hits, TLB misses, page faults) so far.
+    fn mem_counters(m: &Machine) -> (u64, u64, u64) {
+        use std::sync::atomic::Ordering::Relaxed;
+        (m.mem.tlb.hits(), m.mem.tlb.misses(), m.stats.page_faults.load(Relaxed))
+    }
+
+    /// Syscall host that changes the arena's mappings mid-run:
+    /// `sys_mkdir(p)` makes the page holding `p` read-only and
+    /// `sys_unlink(p)` unmaps it.
+    struct RemapHost<'m> {
+        m: &'m Machine,
+        asid: ksim::AsId,
+    }
+
+    impl SyscallHost for RemapHost<'_> {
+        fn host_call(&self, name: &str, args: &[i64], _mem: &MemCtx<'_>) -> Result<i64, InterpError> {
+            let page = args[0] as u64 & !(PAGE_SIZE as u64 - 1);
+            match name {
+                "sys_mkdir" => self.m.mem.protect_page(self.asid, page, PteFlags::ro())?,
+                "sys_unlink" => {
+                    self.m.mem.unmap_page(self.asid, page)?;
+                }
+                _ => return Err(InterpError::BadCall(name.to_string())),
+            }
+            Ok(0)
+        }
     }
 
     fn prep(m: &Machine, pages: usize) -> ksim::AsId {
@@ -914,16 +1023,26 @@ mod tests {
     // ---- differential parity with the tree-walker -------------------------
 
     /// Run both engines on separate but identically-configured machines and
-    /// demand identical results, output, step counts, and cycle charges.
+    /// demand identical results, output, step counts, cycle charges, TLB
+    /// hits and misses, and page faults. The tree-walker translates every
+    /// access afresh, so equal TLB counts show the VM's pinned
+    /// translations hit and miss exactly where `translate` would.
     pub(super) fn assert_parity(src: &str, func: &str, args: &[i64]) {
+        assert_parity_hosted(src, func, args, false);
+    }
+
+    /// [`assert_parity`], optionally with a [`RemapHost`] on each engine.
+    fn assert_parity_hosted(src: &str, func: &str, args: &[i64], remap: bool) {
         let prog = parse_program(src).unwrap();
         let info = typecheck(&prog).unwrap();
         let module = compile(&prog, &info).unwrap();
 
-        let mi = machine();
+        let mi = costed_machine();
         let asid_i = prep(&mi, ARENA_PAGES);
+        let host_i = RemapHost { m: &mi, asid: asid_i };
         let iu0 = mi.clock.user_cycles();
         let is0 = mi.clock.sys_cycles();
+        let im0 = mem_counters(&mi);
         let mut interp = Interp::new(
             &mi,
             &prog,
@@ -933,12 +1052,17 @@ mod tests {
             ARENA_PAGES * PAGE_SIZE,
         )
         .unwrap();
+        if remap {
+            interp.set_host(&host_i);
+        }
         let ri = interp.run(func, args);
 
-        let mv = machine();
+        let mv = costed_machine();
         let asid_v = prep(&mv, ARENA_PAGES);
+        let host_v = RemapHost { m: &mv, asid: asid_v };
         let vu0 = mv.clock.user_cycles();
         let vs0 = mv.clock.sys_cycles();
+        let vm0 = mem_counters(&mv);
         let mut vm = Vm::new(
             &mv,
             &module,
@@ -947,6 +1071,9 @@ mod tests {
             ARENA_PAGES * PAGE_SIZE,
         )
         .unwrap();
+        if remap {
+            vm.set_host(&host_v);
+        }
         let rv = vm.run(func, args);
 
         match (&ri, &rv) {
@@ -969,6 +1096,89 @@ mod tests {
             mv.clock.sys_cycles() - vs0,
             "sys cycles diverged for {src}"
         );
+        let (im, vm_) = (mem_counters(&mi), mem_counters(&mv));
+        assert_eq!(
+            (im.0 - im0.0, im.1 - im0.1, im.2 - im0.2),
+            (vm_.0 - vm0.0, vm_.1 - vm0.1, vm_.2 - vm0.2),
+            "(TLB hits, TLB misses, page faults) diverged for {src}"
+        );
+    }
+
+    #[test]
+    fn pinned_translations_die_with_their_mapping() {
+        // The host call re-protects or unmaps a page the VM has pinned
+        // (the heap block `p`, or the stack slot `x`); the next access
+        // must fault exactly as the tree-walker's fresh translation does.
+        let src = r#"
+            int f(int which) {
+                int x = 7;
+                int *p = malloc(16);
+                *p = 3;
+                x = x + *p;
+                int *q = p;
+                if (which >= 2) { q = &x; }
+                if (which % 2 == 0) { sys_mkdir(q); } else { sys_unlink(q); }
+                x = x + *q;
+                *q = x;
+                return x;
+            }
+        "#;
+        for which in 0..4 {
+            assert_parity_hosted(src, "f", &[which], true);
+        }
+        // And the failures are the right ones: a protection fault on the
+        // store after `protect_page`, a not-present fault on the load
+        // after `unmap_page`.
+        let prog = parse_program(src).unwrap();
+        let info = typecheck(&prog).unwrap();
+        let module = compile(&prog, &info).unwrap();
+        for (which, want) in [
+            (0, (ksim::FaultKind::Protection, ksim::AccessKind::Write)),
+            (1, (ksim::FaultKind::NotPresent, ksim::AccessKind::Read)),
+            (2, (ksim::FaultKind::Protection, ksim::AccessKind::Write)),
+            (3, (ksim::FaultKind::NotPresent, ksim::AccessKind::Read)),
+        ] {
+            let m = costed_machine();
+            let asid = prep(&m, ARENA_PAGES);
+            let host = RemapHost { m: &m, asid };
+            let mut vm =
+                Vm::new(&m, &module, ExecConfig::flat(asid), ARENA, ARENA_PAGES * PAGE_SIZE)
+                    .unwrap();
+            vm.set_host(&host);
+            match vm.run("f", &[which]) {
+                Err(InterpError::Mem(ksim::SimError::MemFault { kind, access, .. })) => {
+                    assert_eq!((kind, access), want, "which={which}")
+                }
+                other => panic!("which={which}: expected a memory fault, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn vm_run_under_a_cpu_binding_mirrors_every_cycle() {
+        // `Vm::new` and `Vm::run` batch their charges; the batch flushes
+        // while the binding is still alive, so the bound CPU's clock gains
+        // exactly what the machine clock gains.
+        let m = costed_machine();
+        let asid = prep(&m, ARENA_PAGES);
+        let prog = parse_program(
+            "int g = 3; int f(int n) { int a[4]; int i; int s = 0; for (i = 0; i < n; i = i + 1) { a[i % 4] = i; s = s + a[i % 4] * g; } return s; }",
+        )
+        .unwrap();
+        let info = typecheck(&prog).unwrap();
+        let module = compile(&prog, &info).unwrap();
+        let total0 = m.clock.snapshot();
+        let cpu0 = m.cpu(1).clock.snapshot();
+        {
+            let _cpu = m.bind_cpu(1);
+            let mut cfg = ExecConfig::flat(asid);
+            cfg.charge_sys = true;
+            let mut vm = Vm::new(&m, &module, cfg, ARENA, ARENA_PAGES * PAGE_SIZE).unwrap();
+            assert_eq!(vm.run("f", &[300]).unwrap().ret, 3 * 44850);
+        }
+        let total = m.clock.since(total0);
+        assert!(total.sys > 0);
+        assert_eq!(total, m.cpu(1).clock.since(cpu0));
     }
 
     #[test]
@@ -1100,8 +1310,11 @@ mod tests {
 
     #[test]
     fn parity_of_tick_boundaries() {
-        // Record each tick's step counter in both engines; sequences must
-        // match exactly (the watchdog sees the same preemption points).
+        // Record each tick's step counter and the machine's sys cycles
+        // (steps and TLB charges) in both engines; sequences must match
+        // exactly (the watchdog sees the same preemption points, and a
+        // clock read inside the VM's charge batch sees every cycle charged
+        // so far).
         use std::cell::RefCell;
         let src =
             "int f(int n) { int i; int s = 0; for (i = 0; i < n; i = i + 1) { s = s + i * i; } return s; }";
@@ -1109,38 +1322,28 @@ mod tests {
         let info = typecheck(&prog).unwrap();
         let module = compile(&prog, &info).unwrap();
 
+        let sys_cfg = |asid| ExecConfig { charge_sys: true, ..ExecConfig::flat(asid) };
+
         let ticks_i = RefCell::new(Vec::new());
-        let mi = machine();
+        let mi = costed_machine();
         let asid_i = prep(&mi, ARENA_PAGES);
-        let mut interp = Interp::new(
-            &mi,
-            &prog,
-            &info,
-            ExecConfig::flat(asid_i),
-            ARENA,
-            ARENA_PAGES * PAGE_SIZE,
-        )
-        .unwrap();
+        let mut interp =
+            Interp::new(&mi, &prog, &info, sys_cfg(asid_i), ARENA, ARENA_PAGES * PAGE_SIZE)
+                .unwrap();
         let ti = |s: u64| {
-            ticks_i.borrow_mut().push(s);
+            ticks_i.borrow_mut().push((s, mi.clock.sys_cycles()));
             Ok(())
         };
         interp.set_ticker(&ti);
         interp.run("f", &[500]).unwrap();
 
         let ticks_v = RefCell::new(Vec::new());
-        let mv = machine();
+        let mv = costed_machine();
         let asid_v = prep(&mv, ARENA_PAGES);
-        let mut vm = Vm::new(
-            &mv,
-            &module,
-            ExecConfig::flat(asid_v),
-            ARENA,
-            ARENA_PAGES * PAGE_SIZE,
-        )
-        .unwrap();
+        let mut vm =
+            Vm::new(&mv, &module, sys_cfg(asid_v), ARENA, ARENA_PAGES * PAGE_SIZE).unwrap();
         let tv = |s: u64| {
-            ticks_v.borrow_mut().push(s);
+            ticks_v.borrow_mut().push((s, mv.clock.sys_cycles()));
             Ok(())
         };
         vm.set_ticker(&tv);

@@ -99,9 +99,12 @@ impl Drop for BatchGuard<'_> {
                     self.clock.io.fetch_add(io, Relaxed);
                 }
                 if std::ptr::eq(s.mirror_src.get(), self.clock) {
-                    // Safety: the MirrorGuard that set the pointer is alive
-                    // (it restores the previous binding on drop) and borrows
-                    // the mirror clock for its own lifetime.
+                    // SAFETY: `mirror` is non-null and valid whenever
+                    // `mirror_src` is non-null: both are set only by
+                    // `mirror_into`, whose MirrorGuard borrows the mirror
+                    // clock for its lifetime and restores the previous
+                    // binding (null, or an outer live guard's) on drop. The
+                    // guard is not `Send`, so it drops on this thread.
                     let m = unsafe { &*s.mirror.get() };
                     if u > 0 {
                         m.user.fetch_add(u, Relaxed);
@@ -207,7 +210,9 @@ impl Clock {
     #[inline]
     fn tee(&self, s: &Scratch, bucket: fn(&Clock) -> &AtomicU64, n: u64) {
         if std::ptr::eq(s.mirror_src.get(), self) {
-            // Safety: see `BatchGuard::drop` — the binding guard is alive.
+            // SAFETY: as in `BatchGuard::drop`: `mirror_src` equals `self`
+            // (non-null), so the MirrorGuard that set `mirror` is alive on
+            // this thread and borrows the mirror clock.
             bucket(unsafe { &*s.mirror.get() }).fetch_add(n, Relaxed);
         }
     }

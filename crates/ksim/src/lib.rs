@@ -68,7 +68,7 @@ pub use irq::{IrqController, IrqHandler, IRQ_OVERHEAD_CYCLES};
 pub use machine::{thread_cpu, CpuBinding, CpuState, KernelToken, Machine, MachineConfig};
 pub use mem::{
     AccessKind, AddressSpace, AsId, Fault, FaultHandler, FaultKind, FaultResolution, MemSys, Pfn,
-    PhysMemory, Pte, PteFlags, Tlb, PAGE_SHIFT, PAGE_SIZE,
+    PhysMemory, Pte, PteFlags, Tlb, TlbPin, PAGE_SHIFT, PAGE_SIZE,
 };
 pub use proc::{Pid, ProcState, Process, Scheduler, SmpScheduler};
 pub use seg::{SegKind, SegSelector, Segment, SegmentTable};

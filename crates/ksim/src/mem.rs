@@ -158,9 +158,14 @@ impl PhysMemory {
     pub fn new(nframes: usize) -> Self {
         let free: Vec<u32> = (0..nframes as u32).rev().collect();
         // `vec![0u64; n]` goes through the zeroed allocator (no page is
-        // touched until written); the size/align assertion above makes the
-        // reinterpretation as atomic words valid.
+        // touched until written).
         let words = Box::into_raw(vec![0u64; nframes * WORDS_PER_FRAME].into_boxed_slice());
+        // SAFETY: `words` came from `Box::into_raw` just above and is owned
+        // by nothing else. `AtomicU64` has the size and alignment of `u64`
+        // (asserted at compile time above), so the slice has the same
+        // length and layout under the new element type, every zeroed `u64`
+        // is a valid `AtomicU64`, and the box frees it with the layout it
+        // was allocated with.
         let ram = unsafe { Box::from_raw(words as *mut [AtomicU64]) };
         PhysMemory {
             ram,
@@ -218,6 +223,44 @@ impl PhysMemory {
             "access to unallocated frame {pfn:?}"
         );
         pfn.0 as usize * WORDS_PER_FRAME
+    }
+
+    /// Read the little-endian scalar of `len` (at most 8) bytes at byte
+    /// `offset` of the frame, zero-extended: the same bytes
+    /// [`read_frame`](Self::read_frame) copies out, without the slice
+    /// round trip on the two shapes an interpreter's loads take (an
+    /// aligned word, one byte).
+    #[inline]
+    pub fn read_scalar(&self, pfn: Pfn, offset: usize, len: usize) -> u64 {
+        if (len == 8 && offset & 7 == 0) || len == 1 {
+            assert!(offset < PAGE_SIZE, "frame read out of range");
+            let w = self.ram[self.base_word(pfn) + (offset >> 3)].load(Relaxed);
+            return if len == 8 { w } else { (w >> ((offset & 7) * 8)) & 0xff };
+        }
+        let mut b = [0u8; 8];
+        self.read_frame(pfn, offset, &mut b[..len]);
+        u64::from_le_bytes(b)
+    }
+
+    /// Write the low `len` (at most 8) bytes of `v`, little-endian, at byte
+    /// `offset` of the frame: the same effect as
+    /// [`write_frame`](Self::write_frame) with those bytes (a lone byte is
+    /// a read-modify-write of its word).
+    #[inline]
+    pub fn write_scalar(&self, pfn: Pfn, offset: usize, len: usize, v: u64) {
+        if (len == 8 && offset & 7 == 0) || len == 1 {
+            assert!(offset < PAGE_SIZE, "frame write out of range");
+            let cell = &self.ram[self.base_word(pfn) + (offset >> 3)];
+            if len == 8 {
+                cell.store(v, Relaxed);
+            } else {
+                let shift = (offset & 7) * 8;
+                let w = cell.load(Relaxed);
+                cell.store((w & !(0xffu64 << shift)) | ((v & 0xff) << shift), Relaxed);
+            }
+            return;
+        }
+        self.write_frame(pfn, offset, &v.to_le_bytes()[..len]);
     }
 
     /// Copy `dst.len()` bytes out of the frame, starting at byte `offset`.
@@ -344,30 +387,61 @@ struct TlbSlot {
 }
 
 impl TlbSlot {
-    /// Read a consistent (tag, data) snapshot.
+    /// Read a consistent (seq, tag, data) snapshot; `seq` is even.
     #[inline]
-    fn read(&self) -> (u64, u64) {
+    fn read(&self) -> (u64, u64, u64) {
         loop {
             let s0 = self.seq.load(Acquire);
             let tag = self.tag.load(Relaxed);
             let data = self.data.load(Relaxed);
             fence(Acquire);
             if s0 & 1 == 0 && self.seq.load(Relaxed) == s0 {
-                return (tag, data);
+                return (s0, tag, data);
             }
             std::hint::spin_loop();
         }
     }
 
-    /// Publish a new (tag, data) pair. Callers serialise through
-    /// [`Tlb::write_side`].
-    fn publish(&self, tag: u64, data: u64) {
+    /// Publish a new (tag, data) pair and return the new (even) sequence.
+    /// Callers serialise through [`Tlb::write_side`].
+    fn publish(&self, tag: u64, data: u64) -> u64 {
         let s = self.seq.load(Relaxed);
         self.seq.store(s.wrapping_add(1), Relaxed);
         fence(Release);
         self.tag.store(tag, Relaxed);
         self.data.store(data, Relaxed);
         self.seq.store(s.wrapping_add(2), Release);
+        s.wrapping_add(2)
+    }
+}
+
+/// A translation pinned to the TLB slot that holds it, from
+/// [`MemSys::translate_pinned`]. Every change to a slot (insert,
+/// invalidate, flush, shootdown) moves its sequence number forward, so
+/// while the slot's sequence still equals the pinned one the slot holds
+/// exactly this translation and [`MemSys::hit_pinned`] may reuse it
+/// without re-reading the tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TlbPin {
+    asid: AsId,
+    vpn: u64,
+    slot: u32,
+    seq: u64,
+    pfn: Pfn,
+    write_ok: bool,
+}
+
+impl TlbPin {
+    /// The pinned frame.
+    #[inline]
+    pub fn pfn(&self) -> Pfn {
+        self.pfn
+    }
+
+    /// Whether the pin translates the page holding `vaddr` in `asid`.
+    #[inline]
+    pub fn covers(&self, asid: AsId, vaddr: u64) -> bool {
+        self.vpn == vaddr >> PAGE_SHIFT && self.asid == asid
     }
 }
 
@@ -396,30 +470,56 @@ impl Tlb {
         ((vpn ^ asid.0 as u64) & (TLB_WAYS as u64 - 1)) as usize
     }
 
-    /// Look up a translation; returns the cached pfn on a hit.
-    fn lookup(&self, asid: AsId, vpn: u64, access: AccessKind) -> Option<Pfn> {
-        let (tag, data) = self.slots[Self::slot(asid, vpn)].read();
+    /// Look up a translation; returns it pinned to its slot on a hit.
+    #[inline]
+    fn lookup(&self, asid: AsId, vpn: u64, access: AccessKind) -> Option<TlbPin> {
+        let slot = Self::slot(asid, vpn);
+        let (seq, tag, data) = self.slots[slot].read();
         if tag & 1 != 0 && tag >> 2 == vpn && (data >> 32) as u32 == asid.0 {
-            if access == AccessKind::Write && tag & 2 == 0 {
+            let write_ok = tag & 2 != 0;
+            if access == AccessKind::Write && !write_ok {
                 return None; // permission upgrade requires a walk
             }
-            // Statistics-only counter (no correctness consumers): a plain
-            // load+store keeps the lock prefix off the per-access hot path.
-            // Concurrent lookups may drop an increment; the hit *charge*
-            // below in `translate` is per-thread-batched and stays exact.
-            self.hits.store(self.hits.load(Relaxed) + 1, Relaxed);
-            Some(Pfn(data as u32))
+            self.count_hit();
+            Some(TlbPin { asid, vpn, slot: slot as u32, seq, pfn: Pfn(data as u32), write_ok })
         } else {
             None
         }
     }
 
-    fn insert(&self, asid: AsId, vpn: u64, pfn: Pfn, write_ok: bool) {
+    /// Re-validate a pin: a hit exactly when the pinned slot has not been
+    /// republished since and the pin permits `access`.
+    #[inline]
+    fn hit_pinned(&self, pin: &TlbPin, access: AccessKind) -> bool {
+        if access == AccessKind::Write && !pin.write_ok {
+            return false;
+        }
+        // Acquire pairs with the Release sequence store in `publish`: a
+        // change that happened before this load is always observed.
+        if self.slots[pin.slot as usize].seq.load(Acquire) != pin.seq {
+            return false;
+        }
+        self.count_hit();
+        true
+    }
+
+    #[inline]
+    fn count_hit(&self) {
+        // Statistics-only counter (no correctness consumers): a plain
+        // load+store keeps the lock prefix off the per-access hot path.
+        // Concurrent lookups may drop an increment; the hit *charge* in
+        // `MemSys` is per-thread-batched and stays exact.
+        self.hits.store(self.hits.load(Relaxed) + 1, Relaxed);
+    }
+
+    fn insert(&self, asid: AsId, vpn: u64, pfn: Pfn, write_ok: bool) -> TlbPin {
         self.misses.fetch_add(1, Relaxed);
         let _g = self.write_side.lock();
         let tag = vpn << 2 | (write_ok as u64) << 1 | 1;
         let data = (asid.0 as u64) << 32 | pfn.0 as u64;
-        self.slots[Self::slot(asid, vpn)].publish(tag, data);
+        let slot = Self::slot(asid, vpn);
+        let seq = self.slots[slot].publish(tag, data);
+        TlbPin { asid, vpn, slot: slot as u32, seq, pfn, write_ok }
     }
 
     /// Invalidate one translation (on unmap/protect: a TLB shootdown).
@@ -634,11 +734,32 @@ impl MemSys {
     /// Retries after a handler reports [`FaultResolution::Retry`], bounded to
     /// keep a buggy handler from looping the simulator forever.
     pub fn translate(&self, asid: AsId, vaddr: u64, access: AccessKind) -> SimResult<Pfn> {
-        let vpn = vaddr >> PAGE_SHIFT;
-        if let Some(pfn) = self.tlb.lookup(asid, vpn, access) {
+        self.translate_pinned(asid, vaddr, access).map(|pin| pin.pfn)
+    }
+
+    /// [`translate`](Self::translate), also returning a pin of the TLB
+    /// slot the translation hit or filled. Hits, misses, walks, faults and
+    /// their charges are exactly those of `translate`.
+    #[inline]
+    pub fn translate_pinned(
+        &self,
+        asid: AsId,
+        vaddr: u64,
+        access: AccessKind,
+    ) -> SimResult<TlbPin> {
+        if let Some(pin) = self.tlb.lookup(asid, vaddr >> PAGE_SHIFT, access) {
             self.clock.charge_sys(self.cost.tlb_hit);
-            return Ok(pfn);
+            return Ok(pin);
         }
+        self.fill(asid, vaddr, access)
+    }
+
+    /// The miss half of [`translate_pinned`](Self::translate_pinned): walk
+    /// the page table, taking faults through the handler chain, and fill
+    /// the TLB.
+    #[inline(never)]
+    fn fill(&self, asid: AsId, vaddr: u64, access: AccessKind) -> SimResult<TlbPin> {
+        let vpn = vaddr >> PAGE_SHIFT;
         self.clock.charge_sys(self.cost.tlb_miss);
         // Injected TLB-fill failure: surfaces as a spurious memory fault
         // without consulting the handler chain (a hardware-level error, not
@@ -651,8 +772,7 @@ impl MemSys {
         for _ in 0..=MAX_FAULT_RETRIES {
             match self.walk(asid, vpn, access)? {
                 Ok((pfn, write_ok)) => {
-                    self.tlb.insert(asid, vpn, pfn, write_ok);
-                    return Ok(pfn);
+                    return Ok(self.tlb.insert(asid, vpn, pfn, write_ok));
                 }
                 Err(kind) => {
                     self.clock.charge_sys(self.cost.page_fault);
@@ -675,6 +795,21 @@ impl MemSys {
             access,
             vaddr,
         })
+    }
+
+    /// Reuse a pinned translation: a TLB hit, charged and counted exactly
+    /// like one in [`translate`](Self::translate), while the pinned slot is
+    /// unchanged and permits `access`. `None` costs and counts nothing;
+    /// the caller then falls back to `translate_pinned`, which takes the
+    /// same miss (or hit, if the slot was refilled with the same entry)
+    /// that `translate` would.
+    #[inline]
+    pub fn hit_pinned(&self, pin: &TlbPin, access: AccessKind) -> Option<Pfn> {
+        if !self.tlb.hit_pinned(pin, access) {
+            return None;
+        }
+        self.clock.charge_sys(self.cost.tlb_hit);
+        Some(pin.pfn)
     }
 
     fn dispatch_fault(&self, fault: &Fault) -> FaultResolution {
@@ -772,6 +907,33 @@ mod tests {
         phys.read_frame(c, 0, &mut b0);
         assert_eq!(b0[0], 0, "frames are zeroed on alloc");
         assert_eq!(phys.high_water(), 2);
+    }
+
+    #[test]
+    fn scalar_access_matches_the_byte_copies() {
+        let phys = PhysMemory::new(2);
+        let (a, b) = (phys.alloc_frame().unwrap(), phys.alloc_frame().unwrap());
+        let fill: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 131 + 7) as u8).collect();
+        phys.write_frame(a, 0, &fill);
+        phys.write_frame(b, 0, &fill);
+        let mut x = 0x0123_4567_89ab_cdefu64;
+        for off in 0..PAGE_SIZE {
+            for len in [1usize, 8] {
+                if off + len > PAGE_SIZE {
+                    continue;
+                }
+                let mut want = [0u8; 8];
+                phys.read_frame(a, off, &mut want[..len]);
+                assert_eq!(phys.read_scalar(a, off, len), u64::from_le_bytes(want), "{off}+{len}");
+                x = x.rotate_left(7) ^ off as u64;
+                phys.write_frame(a, off, &x.to_le_bytes()[..len]);
+                phys.write_scalar(b, off, len, x);
+            }
+        }
+        let (mut fa, mut fb) = (vec![0u8; PAGE_SIZE], vec![0u8; PAGE_SIZE]);
+        phys.read_frame(a, 0, &mut fa);
+        phys.read_frame(b, 0, &mut fb);
+        assert_eq!(fa, fb);
     }
 
     #[test]
@@ -911,6 +1073,130 @@ mod tests {
         let pte = m.unmap_page(asid, 0x4000).unwrap().unwrap();
         m.phys.free_frame(pte.pfn.unwrap());
         assert!(m.read_virt(asid, 0x4000, &mut b).is_err(), "stale TLB entry used");
+    }
+
+    #[test]
+    fn pins_hit_like_translate_until_the_slot_changes() {
+        let m = memsys(8);
+        let asid = m.create_space();
+        let va = 0x4000u64;
+        m.map_anon(asid, va, PteFlags::rw()).unwrap();
+        let pin = m.translate_pinned(asid, va, AccessKind::Read).unwrap();
+        assert!(pin.covers(asid, va + 8) && !pin.covers(asid, va + PAGE_SIZE as u64));
+
+        // A valid pin is a TLB hit: same pfn, same charge, same counter.
+        let (hits, misses, sys) = (m.tlb.hits(), m.tlb.misses(), m.clock.sys_cycles());
+        assert_eq!(m.hit_pinned(&pin, AccessKind::Write), Some(pin.pfn()));
+        assert_eq!(m.tlb.hits(), hits + 1);
+        assert_eq!(m.tlb.misses(), misses);
+        assert_eq!(m.clock.sys_cycles(), sys + CostModel::default().tlb_hit);
+
+        let stale = |pin: &TlbPin| {
+            let (h, s) = (m.tlb.hits(), m.clock.sys_cycles());
+            let r = m.hit_pinned(pin, AccessKind::Read);
+            if r.is_none() {
+                // A failed pin costs and counts nothing.
+                assert_eq!((m.tlb.hits(), m.clock.sys_cycles()), (h, s));
+            }
+            r.is_none()
+        };
+        m.tlb.invalidate(asid, va >> PAGE_SHIFT);
+        assert!(stale(&pin), "pin survived invalidate");
+
+        let pin = m.translate_pinned(asid, va, AccessKind::Read).unwrap();
+        m.tlb.flush();
+        assert!(stale(&pin), "pin survived flush");
+
+        // Another page hashing to the same slot evicts the pinned entry.
+        let pin = m.translate_pinned(asid, va, AccessKind::Read).unwrap();
+        let alias = va + (TLB_WAYS * PAGE_SIZE) as u64;
+        m.map_anon(asid, alias, PteFlags::rw()).unwrap();
+        assert_eq!(Tlb::slot(asid, va >> PAGE_SHIFT), Tlb::slot(asid, alias >> PAGE_SHIFT));
+        assert!(!stale(&pin), "mapping the alias must not touch the pinned slot");
+        m.translate(asid, alias, AccessKind::Read).unwrap();
+        assert!(stale(&pin), "pin survived a re-insert into its slot");
+
+        // Refilling the slot with the very same translation still moves
+        // the sequence: the pin stays dead until re-pinned.
+        let pin = m.translate_pinned(asid, va, AccessKind::Read).unwrap();
+        m.tlb.invalidate(asid, va >> PAGE_SHIFT);
+        m.translate(asid, va, AccessKind::Read).unwrap();
+        assert!(stale(&pin), "pin survived invalidate + refill");
+
+        // Protection changes shoot the slot down; a read-only pin never
+        // grants a write.
+        let pin = m.translate_pinned(asid, va, AccessKind::Write).unwrap();
+        m.protect_page(asid, va, PteFlags::ro()).unwrap();
+        assert!(stale(&pin), "pin survived protect_page");
+        let ro = m.translate_pinned(asid, va, AccessKind::Read).unwrap();
+        assert_eq!(m.hit_pinned(&ro, AccessKind::Write), None);
+        assert_eq!(m.hit_pinned(&ro, AccessKind::Read), Some(ro.pfn()));
+    }
+
+    #[test]
+    fn pins_never_outlive_a_concurrent_shootdown() {
+        // A writer thread cycles the slot through frames 2, 3, 4, ...:
+        // insert frame g, publish "every frame below g is gone", and on
+        // even g also invalidate and publish "g is gone". The reader loads
+        // that watermark *before* each `hit_pinned`; a hit on a frame at
+        // or below it would be a pfn the slot no longer held when the hit
+        // began.
+        use std::sync::atomic::AtomicBool;
+        // Probe at least PROBES times and until the writer has cycled the
+        // slot ROUNDS times.
+        const PROBES: u32 = 200_000;
+        const ROUNDS: u64 = 20_000;
+        let m = Arc::new(memsys(4));
+        let asid = m.create_space();
+        let vpn = 0x40u64;
+        let retired = Arc::new(AtomicU64::new(0));
+        let done = Arc::new(AtomicBool::new(false));
+        m.tlb.insert(asid, vpn, Pfn(1), true);
+
+        let writer = {
+            let (m, retired, done) = (m.clone(), retired.clone(), done.clone());
+            std::thread::spawn(move || {
+                let mut g = 1u64;
+                while !done.load(Acquire) {
+                    g += 1;
+                    m.tlb.insert(asid, vpn, Pfn(g as u32), true);
+                    retired.store(g - 1, Release);
+                    for _ in 0..16 {
+                        std::hint::spin_loop(); // a window for pinned hits
+                    }
+                    if g.is_multiple_of(2) {
+                        m.tlb.invalidate(asid, vpn);
+                        retired.store(g, Release);
+                    }
+                }
+            })
+        };
+
+        while retired.load(Acquire) == 0 {
+            std::hint::spin_loop(); // let the writer start first
+        }
+        let (mut hits, mut probes, mut pin) = (0u64, 0u32, None);
+        loop {
+            let floor = retired.load(Acquire);
+            probes += 1;
+            if probes >= PROBES && floor >= ROUNDS {
+                break;
+            }
+            match pin.as_ref().and_then(|p| m.hit_pinned(p, AccessKind::Read)) {
+                Some(pfn) => {
+                    assert!(
+                        pfn.0 as u64 > floor,
+                        "pinned hit on frame {} after it left the slot (watermark {floor})",
+                        pfn.0
+                    );
+                    hits += 1;
+                }
+                None => pin = m.tlb.lookup(asid, vpn, AccessKind::Read),
+            }
+        }
+        done.store(true, Release);
+        writer.join().unwrap();
+        assert!(hits > 0, "no pinned hit raced the writer");
     }
 
     #[test]

@@ -32,8 +32,16 @@ pub struct SpinMutex<T> {
     value: UnsafeCell<T>,
 }
 
-// Same bounds as a mutex: the guard hands out &mut T across threads.
+// SAFETY: same bounds as `std::sync::Mutex`. `locked` and `contention`
+// are atomics (the latter points at a `'static` counter that is itself
+// `Sync`); the only field that needs a bound is `value`, and moving the
+// lock moves the `T` it owns, which needs `T: Send`.
 unsafe impl<T: Send> Send for SpinMutex<T> {}
+// SAFETY: a shared `&SpinMutex` only reaches `value` through a guard, and
+// the Acquire compare-exchange in `lock` admits one guard at a time (the
+// Release store in the guard's drop hands the data to the next holder),
+// so threads take turns holding `&mut T`: that needs `T: Send`, not
+// `Sync`. The atomic fields are `Sync` already.
 unsafe impl<T: Send> Sync for SpinMutex<T> {}
 
 /// RAII guard; releases with a single release store on drop.
@@ -91,7 +99,9 @@ impl<T> SpinMutex<T> {
             {
                 let st = self.contention.load(Ordering::Relaxed);
                 if !st.is_null() {
-                    // Safety: set_contention only accepts 'static counters.
+                    // SAFETY: `contention` is null or was stored from a
+                    // `&'static LockContention` by `set_contention`, so a
+                    // non-null pointer is valid for the rest of the program.
                     unsafe { &*st }.record(spins);
                 }
                 return;
@@ -109,7 +119,9 @@ impl<T> Deref for SpinMutexGuard<'_, T> {
     type Target = T;
     #[inline]
     fn deref(&self) -> &T {
-        // Safety: the guard holds the lock.
+        // SAFETY: a guard exists only while `locked` is held (it is made
+        // after a successful Acquire compare-exchange and releases on
+        // drop), so no other guard can produce a `&mut T` meanwhile.
         unsafe { &*self.lock.value.get() }
     }
 }
@@ -117,7 +129,9 @@ impl<T> Deref for SpinMutexGuard<'_, T> {
 impl<T> DerefMut for SpinMutexGuard<'_, T> {
     #[inline]
     fn deref_mut(&mut self) -> &mut T {
-        // Safety: the guard holds the lock exclusively.
+        // SAFETY: this guard holds the lock, so it is the only guard; the
+        // `&mut self` borrow keeps its own `deref` results from aliasing
+        // the returned `&mut T`.
         unsafe { &mut *self.lock.value.get() }
     }
 }

@@ -29,6 +29,13 @@ if [ "$h1" != "$h2" ]; then
     echo "fault sweep is not deterministic: '$h1' vs '$h2'" >&2
     exit 1
 fi
+# Pinned as well as reproducible: the sweep drives every injectable site,
+# ksim.tlb_fill among them, so a drift here means a fault fired (or a TLB
+# miss happened) where it did not before.
+if [ "$h1" != "TRACE_HASH 7d55d976198e7101" ]; then
+    echo "fault sweep hash drifted: '$h1' != 'TRACE_HASH 7d55d976198e7101'" >&2
+    exit 1
+fi
 echo "fault sweep deterministic: $h1"
 
 echo "== bench smoke: knet web server connection sweep =="
